@@ -1,19 +1,23 @@
 #include "markov/absorbing_ctmc.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <queue>
-
-#include "markov/dtmc.h"
+#include <utility>
 
 namespace wfms::markov {
 
-using linalg::DenseMatrix;
+using linalg::SparseMatrix;
+using linalg::SparseMatrixBuilder;
 using linalg::Vector;
 
 namespace {
 
-/// Breadth-first reachability over nonzero transition probabilities.
-std::vector<bool> ReachableFrom(const DenseMatrix& p, size_t start) {
+/// Breadth-first reachability over the nonzero entries of a CSR matrix.
+std::vector<bool> ReachableFrom(const SparseMatrix& p, size_t start) {
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
   std::vector<bool> seen(p.rows(), false);
   std::queue<size_t> queue;
   seen[start] = true;
@@ -21,20 +25,64 @@ std::vector<bool> ReachableFrom(const DenseMatrix& p, size_t start) {
   while (!queue.empty()) {
     const size_t i = queue.front();
     queue.pop();
-    for (size_t j = 0; j < p.cols(); ++j) {
-      if (p.At(i, j) > 0.0 && !seen[j]) {
-        seen[j] = true;
-        queue.push(j);
+    for (size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      if (!seen[cols[k]]) {
+        seen[cols[k]] = true;
+        queue.push(cols[k]);
       }
     }
   }
   return seen;
 }
 
+/// Depth-first postorder of the transient states (edges into `absorbing`
+/// are ignored), rooted at `initial` first and then at every unvisited
+/// state in index order. Sets *acyclic to false on meeting a back edge.
+std::vector<size_t> PostOrder(const SparseMatrix& p, size_t initial,
+                              size_t absorbing, bool* acyclic) {
+  const size_t n = p.rows();
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
+  enum Mark : uint8_t { kNew, kOnStack, kDone };
+  std::vector<uint8_t> mark(n, kNew);
+  mark[absorbing] = kDone;
+  std::vector<size_t> order;
+  order.reserve(n - 1);
+  // (state, next CSR entry to explore)
+  std::vector<std::pair<size_t, size_t>> stack;
+  *acyclic = true;
+  auto visit = [&](size_t root) {
+    if (mark[root] != kNew) return;
+    mark[root] = kOnStack;
+    stack.emplace_back(root, offsets[root]);
+    while (!stack.empty()) {
+      const size_t v = stack.back().first;
+      const size_t k = stack.back().second;
+      if (k == offsets[v + 1]) {
+        mark[v] = kDone;
+        order.push_back(v);
+        stack.pop_back();
+        continue;
+      }
+      ++stack.back().second;
+      const size_t w = cols[k];
+      if (mark[w] == kNew) {
+        mark[w] = kOnStack;
+        stack.emplace_back(w, offsets[w]);
+      } else if (mark[w] == kOnStack) {
+        *acyclic = false;
+      }
+    }
+  };
+  visit(initial);
+  for (size_t i = 0; i < n; ++i) visit(i);
+  return order;
+}
+
 }  // namespace
 
 Result<AbsorbingCtmc> AbsorbingCtmc::Create(
-    DenseMatrix p, Vector residence_times,
+    const SparseMatrix& p, Vector residence_times,
     std::vector<std::string> state_names, size_t initial_state,
     size_t absorbing_state) {
   const size_t n = p.rows();
@@ -53,30 +101,36 @@ Result<AbsorbingCtmc> AbsorbingCtmc::Create(
         "initial state must differ from the absorbing state");
   }
 
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
+  const auto& values = p.values();
+  SparseMatrixBuilder normalized(n, n);
+  normalized.Reserve(p.num_nonzeros() + 1);
   for (size_t i = 0; i < n; ++i) {
     double row_sum = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      if (p.At(i, j) < 0.0) {
+    double self = 0.0;
+    for (size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      if (values[k] < 0.0) {
         return Status::InvalidArgument("negative probability in row '" +
                                        state_names[i] + "'");
       }
-      row_sum += p.At(i, j);
+      row_sum += values[k];
+      if (cols[k] == i) self = values[k];
     }
     if (i == absorbing_state) {
       // Accept either an all-zero row or a pure self-loop; normalize to a
       // self-loop so the uniformized matrix is stochastic.
       const bool zero_row = row_sum == 0.0;
       const bool self_loop =
-          std::fabs(p.At(i, i) - 1.0) < 1e-9 && std::fabs(row_sum - 1.0) < 1e-9;
+          std::fabs(self - 1.0) < 1e-9 && std::fabs(row_sum - 1.0) < 1e-9;
       if (!zero_row && !self_loop) {
         return Status::InvalidArgument(
             "absorbing state row must be zero or a self-loop");
       }
-      for (size_t j = 0; j < n; ++j) p.At(i, j) = 0.0;
-      p.At(i, i) = 1.0;
+      normalized.Add(i, i, 1.0);
       continue;
     }
-    if (p.At(i, i) != 0.0) {
+    if (self != 0.0) {
       return Status::InvalidArgument("jump chain must have p_ii = 0 (state '" +
                                      state_names[i] + "')");
     }
@@ -84,7 +138,9 @@ Result<AbsorbingCtmc> AbsorbingCtmc::Create(
       return Status::InvalidArgument("row '" + state_names[i] + "' sums to " +
                                      std::to_string(row_sum) + ", expected 1");
     }
-    for (size_t j = 0; j < n; ++j) p.At(i, j) /= row_sum;
+    for (size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      normalized.Add(i, cols[k], values[k] / row_sum);
+    }
   }
 
   for (size_t i = 0; i < n; ++i) {
@@ -99,17 +155,17 @@ Result<AbsorbingCtmc> AbsorbingCtmc::Create(
     }
   }
 
+  SparseMatrix jump = std::move(normalized).Build();
   // Every state reachable from the start must reach absorption; otherwise
   // turnaround times are infinite and the workflow never terminates.
-  const std::vector<bool> from_start = ReachableFrom(p, initial_state);
+  const std::vector<bool> from_start = ReachableFrom(jump, initial_state);
   if (!from_start[absorbing_state]) {
     return Status::InvalidArgument(
         "absorbing state unreachable from the initial state");
   }
   // Reverse reachability: states that can reach absorption.
-  DenseMatrix pt = p.Transposed();
   const std::vector<bool> reaches_absorbing =
-      ReachableFrom(pt, absorbing_state);
+      ReachableFrom(jump.Transposed(), absorbing_state);
   for (size_t i = 0; i < n; ++i) {
     if (from_start[i] && !reaches_absorbing[i]) {
       return Status::InvalidArgument("state '" + state_names[i] +
@@ -117,8 +173,14 @@ Result<AbsorbingCtmc> AbsorbingCtmc::Create(
     }
   }
 
-  return AbsorbingCtmc(std::move(p), std::move(residence_times),
-                       std::move(state_names), initial_state, absorbing_state);
+  bool acyclic = true;
+  std::vector<size_t> order =
+      PostOrder(jump, initial_state, absorbing_state, &acyclic);
+  AbsorbingCtmc chain(std::move(jump), std::move(residence_times),
+                      std::move(state_names), initial_state, absorbing_state);
+  chain.solve_order_ = std::move(order);
+  chain.acyclic_ = acyclic;
+  return chain;
 }
 
 Result<size_t> AbsorbingCtmc::StateIndex(const std::string& name) const {
@@ -145,42 +207,44 @@ double AbsorbingCtmc::TransitionRate(size_t i, size_t j) const {
   return DepartureRate(i) * p_.At(i, j);
 }
 
-DenseMatrix AbsorbingCtmc::Generator() const {
+SparseMatrix AbsorbingCtmc::Generator() const {
   const size_t n = num_states();
-  DenseMatrix q(n, n);
+  const auto& offsets = p_.row_offsets();
+  const auto& cols = p_.col_indices();
+  const auto& values = p_.values();
+  SparseMatrixBuilder q(n, n);
+  q.Reserve(p_.num_nonzeros() + n);
   for (size_t i = 0; i < n; ++i) {
     if (i == absorbing_state_) continue;  // zero row
     const double vi = DepartureRate(i);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      q.At(i, j) = vi * p_.At(i, j);
+    for (size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      q.Add(i, cols[k], vi * values[k]);
     }
-    q.At(i, i) = -vi;
+    q.Add(i, i, -vi);
   }
-  return q;
+  return std::move(q).Build();
 }
 
-DenseMatrix AbsorbingCtmc::UniformizedTransitionMatrix() const {
+SparseMatrix AbsorbingCtmc::UniformizedTransitionMatrix() const {
   const size_t n = num_states();
   const double v = UniformizationRate();
-  DenseMatrix u(n, n);
+  const auto& offsets = p_.row_offsets();
+  const auto& cols = p_.col_indices();
+  const auto& values = p_.values();
+  SparseMatrixBuilder u(n, n);
+  u.Reserve(p_.num_nonzeros() + n);
   for (size_t i = 0; i < n; ++i) {
     if (i == absorbing_state_) {
-      u.At(i, i) = 1.0;
+      u.Add(i, i, 1.0);
       continue;
     }
     const double ratio = DepartureRate(i) / v;
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      u.At(i, j) = ratio * p_.At(i, j);
+    for (size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      u.Add(i, cols[k], ratio * values[k]);
     }
-    u.At(i, i) = 1.0 - ratio;
+    u.Add(i, i, 1.0 - ratio);
   }
-  return u;
-}
-
-Result<Dtmc> AbsorbingCtmc::EmbeddedChain() const {
-  return Dtmc::Create(p_, state_names_);
+  return std::move(u).Build();
 }
 
 }  // namespace wfms::markov

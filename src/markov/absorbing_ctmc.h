@@ -3,8 +3,12 @@
 // p_ij and the mean state residence times H_i, with a single initial state
 // and a single absorbing state (infinite residence).
 //
-// The analyses the performance model needs live in transient.h
-// (uniformization / Markov reward) and first_passage.h (turnaround time).
+// The jump chain is stored in CSR form: a chart compiled from an n-task
+// DAG has O(n) transitions, so every construction step and analysis here
+// is O(nnz), never O(n^2). The analyses the performance model needs live
+// in transient.h (uniformization / Markov reward), first_passage.h
+// (turnaround time) and absorbing_solve.h (the transient-block solver they
+// share).
 #ifndef WFMS_MARKOV_ABSORBING_CTMC_H_
 #define WFMS_MARKOV_ABSORBING_CTMC_H_
 
@@ -13,7 +17,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "linalg/dense_matrix.h"
+#include "linalg/sparse_matrix.h"
 #include "linalg/vector.h"
 
 namespace wfms::markov {
@@ -34,7 +38,7 @@ class AbsorbingCtmc {
   ///  - `initial_state`, `absorbing_state`: distinct indices.
   /// Also verifies that the absorbing state is reachable from every state
   /// that is reachable from the initial state.
-  static Result<AbsorbingCtmc> Create(linalg::DenseMatrix p,
+  static Result<AbsorbingCtmc> Create(const linalg::SparseMatrix& p,
                                       linalg::Vector residence_times,
                                       std::vector<std::string> state_names,
                                       size_t initial_state,
@@ -43,7 +47,7 @@ class AbsorbingCtmc {
   size_t num_states() const { return p_.rows(); }
   size_t initial_state() const { return initial_state_; }
   size_t absorbing_state() const { return absorbing_state_; }
-  const linalg::DenseMatrix& transition_probabilities() const { return p_; }
+  const linalg::SparseMatrix& transition_probabilities() const { return p_; }
   const linalg::Vector& residence_times() const { return h_; }
   const std::string& state_name(size_t i) const { return state_names_[i]; }
   Result<size_t> StateIndex(const std::string& name) const;
@@ -56,18 +60,24 @@ class AbsorbingCtmc {
   double TransitionRate(size_t i, size_t j) const;
 
   /// Full infinitesimal generator (q_ii = -v_i); the absorbing row is zero.
-  linalg::DenseMatrix Generator() const;
+  linalg::SparseMatrix Generator() const;
 
   /// One-step transition matrix of the uniformized DTMC:
   ///   p~_ij = (v_i/v) p_ij for j != i,   p~_ii = 1 - v_i/v,
   /// with the absorbing state keeping a self-loop of 1.
-  linalg::DenseMatrix UniformizedTransitionMatrix() const;
+  linalg::SparseMatrix UniformizedTransitionMatrix() const;
 
-  /// The embedded jump chain as a DTMC (absorbing state keeps a self-loop).
-  Result<class Dtmc> EmbeddedChain() const;
+  /// The transient states in depth-first postorder of the jump chain
+  /// (started at the initial state): every successor of a state comes
+  /// before it, except along a cycle.
+  const std::vector<size_t>& solve_order() const { return solve_order_; }
+  /// True iff the jump chain restricted to the transient states has no
+  /// cycle — then solve_order() is a reverse topological order. Every
+  /// chart compiled from a DAG is acyclic.
+  bool acyclic() const { return acyclic_; }
 
  private:
-  AbsorbingCtmc(linalg::DenseMatrix p, linalg::Vector h,
+  AbsorbingCtmc(linalg::SparseMatrix p, linalg::Vector h,
                 std::vector<std::string> names, size_t initial,
                 size_t absorbing)
       : p_(std::move(p)),
@@ -76,11 +86,13 @@ class AbsorbingCtmc {
         initial_state_(initial),
         absorbing_state_(absorbing) {}
 
-  linalg::DenseMatrix p_;
+  linalg::SparseMatrix p_;
   linalg::Vector h_;
   std::vector<std::string> state_names_;
   size_t initial_state_;
   size_t absorbing_state_;
+  std::vector<size_t> solve_order_;
+  bool acyclic_ = true;
 };
 
 }  // namespace wfms::markov

@@ -1,8 +1,8 @@
-// Discrete-time Markov chains. Workflow control-flow chains are small
-// (tens of states), so the DTMC is dense. The key analysis for the paper is
-// the *absorbing-chain* structure: expected visit counts per transient state
-// via the fundamental matrix N = (I - P_T)^{-1}, which independently
-// validates the uniformization-based Markov reward computation of §4.2.
+// Discrete-time Markov chains with a dense transition matrix, for small
+// general chains: expected visit counts per transient state via the
+// fundamental matrix N = (I - P_T)^{-1} and absorption probabilities. The
+// workflow chains do not use this type: their visits come from the sparse
+// AbsorbingCtmc through absorbing_solve.h (markov::ExpectedStateVisits).
 #ifndef WFMS_MARKOV_DTMC_H_
 #define WFMS_MARKOV_DTMC_H_
 

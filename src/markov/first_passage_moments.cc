@@ -1,15 +1,13 @@
 #include "markov/first_passage_moments.h"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
-#include "linalg/dense_matrix.h"
-#include "linalg/lu_solver.h"
+#include "markov/absorbing_solve.h"
 #include "markov/first_passage.h"
 
 namespace wfms::markov {
 
-using linalg::DenseMatrix;
 using linalg::Vector;
 
 double TurnaroundMoments::stddev() const {
@@ -28,49 +26,25 @@ double TurnaroundMoments::TailBound(double t) const {
 
 Result<FirstPassageMomentVectors> FirstPassageMoments(
     const AbsorbingCtmc& chain) {
-  const size_t n = chain.num_states();
-  const size_t a = chain.absorbing_state();
   WFMS_ASSIGN_OR_RETURN(Vector mean, MeanFirstPassageTimes(chain));
 
-  // Compact transient states and solve (I - P_T) s = c.
-  std::vector<size_t> transient;
-  std::vector<size_t> compact(n, SIZE_MAX);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == a) continue;
-    compact[i] = transient.size();
-    transient.push_back(i);
+  // s_i = 2/v_i^2 + (2/v_i) sum_j p_ij m_j + sum_j p_ij s_j, and
+  // 1/v_i + sum_j p_ij m_j = m_i, so (I - P_T) s = 2 H m.
+  const Vector& h = chain.residence_times();
+  Vector rhs(chain.num_states(), 0.0);
+  for (size_t i = 0; i < rhs.size(); ++i) {
+    if (i != chain.absorbing_state()) rhs[i] = 2.0 * h[i] * mean[i];
   }
-  const size_t m = transient.size();
-  DenseMatrix system(m, m);
-  Vector rhs(m, 0.0);
-  for (size_t row = 0; row < m; ++row) {
-    const size_t i = transient[row];
-    const double vi = chain.DepartureRate(i);
-    double mean_next = 0.0;  // sum_j p_ij m_j over all j (m_A = 0)
-    for (size_t j = 0; j < n; ++j) {
-      const double pij = chain.transition_probabilities().At(i, j);
-      if (pij == 0.0) continue;
-      mean_next += pij * mean[j];
-      if (j != a) system.At(row, compact[j]) -= pij;
-    }
-    system.At(row, row) += 1.0;
-    rhs[row] = 2.0 / (vi * vi) + (2.0 / vi) * mean_next;
+  auto second = SolveTransientSystem(chain, SystemSide::kColumn, rhs);
+  if (!second.ok()) {
+    return second.status().WithContext("first-passage second moments");
   }
-  auto solved = linalg::LuSolve(system, rhs);
-  if (!solved.ok()) {
-    return solved.status().WithContext("first-passage second moments");
-  }
-
-  FirstPassageMomentVectors result;
-  result.mean = std::move(mean);
-  result.second_moment.assign(n, 0.0);
-  for (size_t row = 0; row < m; ++row) {
-    if ((*solved)[row] < 0.0) {
+  for (double s : *second) {
+    if (s < 0.0) {
       return Status::NumericError("negative second moment; ill-conditioned");
     }
-    result.second_moment[transient[row]] = (*solved)[row];
   }
-  return result;
+  return FirstPassageMomentVectors{std::move(mean), *std::move(second)};
 }
 
 Result<TurnaroundMoments> TurnaroundTimeMoments(const AbsorbingCtmc& chain) {

@@ -8,7 +8,7 @@
 
 namespace wfms::markov {
 
-using linalg::DenseMatrix;
+using linalg::SparseMatrix;
 using linalg::Vector;
 
 Vector ErlangExpansion::LiftEntryRewards(const Vector& rewards) const {
@@ -43,7 +43,12 @@ Result<ErlangExpansion> ExpandErlangStages(const AbsorbingCtmc& chain,
     total += static_cast<size_t>(stages[i]);
   }
 
-  DenseMatrix p(total, total);
+  const SparseMatrix& source = chain.transition_probabilities();
+  const auto& offsets = source.row_offsets();
+  const auto& cols = source.col_indices();
+  const auto& values = source.values();
+  linalg::SparseMatrixBuilder p(total, total);
+  p.Reserve(source.num_nonzeros() + total);
   Vector h(total, 0.0);
   std::vector<std::string> names(total);
   std::vector<size_t> origin(total);
@@ -69,20 +74,19 @@ Result<ErlangExpansion> ExpandErlangStages(const AbsorbingCtmc& chain,
         names[idx] += std::to_string(s + 1);
       }
       if (s + 1 < k) {
-        p.At(idx, idx + 1) = 1.0;  // advance to next stage
+        p.Add(idx, idx + 1, 1.0);  // advance to next stage
       } else if (i != chain.absorbing_state()) {
         // Last stage: the original state's outgoing distribution, with
         // targets redirected to first stages.
-        for (size_t j = 0; j < n; ++j) {
-          const double pij = chain.transition_probabilities().At(i, j);
-          if (pij > 0.0) p.At(idx, first_stage[j]) = pij;
+        for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+          p.Add(idx, first_stage[cols[e]], values[e]);
         }
       }
     }
   }
 
   auto expanded = AbsorbingCtmc::Create(
-      std::move(p), std::move(h), std::move(names),
+      std::move(p).Build(), std::move(h), std::move(names),
       first_stage[chain.initial_state()],
       first_stage[chain.absorbing_state()]);
   if (!expanded.ok()) {

@@ -2,11 +2,12 @@
 
 #include <cmath>
 
-#include "linalg/dense_matrix.h"
+#include "linalg/sparse_matrix.h"
+#include "linalg/spmv.h"
 
 namespace wfms::markov {
 
-using linalg::DenseMatrix;
+using linalg::SparseMatrix;
 using linalg::Vector;
 
 Result<Vector> TransientDistribution(const AbsorbingCtmc& chain, double t,
@@ -21,7 +22,8 @@ Result<Vector> TransientDistribution(const AbsorbingCtmc& chain, double t,
 
   const double v = chain.UniformizationRate();
   const double vt = v * t;
-  const DenseMatrix u_matrix = chain.UniformizedTransitionMatrix();
+  const SparseMatrix u_matrix = chain.UniformizedTransitionMatrix();
+  Vector next;
 
   // Poisson(vt) weights computed iteratively; for large vt start the
   // recursion in log space to avoid underflow of the z=0 term.
@@ -48,7 +50,8 @@ Result<Vector> TransientDistribution(const AbsorbingCtmc& chain, double t,
       for (size_t i = 0; i < n; ++i) result[i] += tail * p[i];
       return result;
     }
-    p = u_matrix.MultiplyTransposed(p);  // p <- p P~
+    linalg::BlockedMultiplyTransposed(u_matrix, p, &next);  // p <- p P~
+    p.swap(next);
     log_weight += std::log(vt) - std::log(static_cast<double>(z) + 1.0);
   }
   return Status::NumericError(

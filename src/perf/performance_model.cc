@@ -24,13 +24,15 @@ Result<PerformanceModel> PerformanceModel::Create(
   trace::TraceSpan span("perf/model_build", "perf");
   const auto start = std::chrono::steady_clock::now();
 
+  // Validates the chart registry too, once: the analyzer's chart memo
+  // relies on it and maps every chart at most once for the whole build.
   WFMS_RETURN_NOT_OK(env.Validate());
+  WorkflowAnalyzer analyzer(env, options);
   std::vector<WorkflowAnalysis> analyses;
   analyses.reserve(env.workflows.size());
   Vector rates(env.num_server_types(), 0.0);
   for (const workflow::WorkflowTypeSpec& spec : env.workflows) {
-    WFMS_ASSIGN_OR_RETURN(WorkflowAnalysis analysis,
-                          AnalyzeWorkflow(env, spec, options));
+    WFMS_ASSIGN_OR_RETURN(WorkflowAnalysis analysis, analyzer.Analyze(spec));
     for (size_t x = 0; x < rates.size(); ++x) {
       rates[x] += spec.arrival_rate * analysis.expected_requests[x];
     }

@@ -48,13 +48,41 @@ struct WorkflowAnalysis {
   std::vector<statechart::MappedState> states;
   /// Entry-load matrix: state_loads(x, s) = service requests on server
   /// type x per entry of chain state s (composite states already carry
-  /// their subworkflows' aggregate requests, §4.2.2).
+  /// their subworkflows' aggregate requests, §4.2.2). With phase-type
+  /// macro-states a chart state's load sits on its first Erlang stage.
   linalg::DenseMatrix state_loads;
   /// Expected number of entries per chain state (from the embedded chain).
   linalg::Vector state_visits;
 };
 
-/// Analyzes the chart of `spec` against the environment's load table.
+/// Analyzes the workflow types of one environment over a shared chart memo
+/// (statechart::ChartMapper): each chart is mapped, solved and loaded once
+/// per analyzer, however many workflow types and composite states reach
+/// it. One analyzer serves one model build.
+class WorkflowAnalyzer {
+ public:
+  /// `env.charts` must already have passed ValidateReferences();
+  /// `env` must outlive the analyzer unchanged.
+  WorkflowAnalyzer(const workflow::Environment& env,
+                   const AnalysisOptions& options);
+
+  /// Analyzes the chart of `spec` against the environment's load table.
+  Result<WorkflowAnalysis> Analyze(const workflow::WorkflowTypeSpec& spec);
+
+ private:
+  /// r_{x, chart} of one execution of the chart, subworkflows included.
+  Result<const linalg::Vector*> ChartRequests(const std::string& chart_name);
+  /// The chart's entry-load matrix; fills chart.visits and chart.requests
+  /// on first use.
+  Result<linalg::DenseMatrix> Loads(statechart::MappedChart& chart);
+
+  const workflow::Environment& env_;
+  AnalysisOptions options_;
+  statechart::ChartMapper mapper_;
+};
+
+/// Analyzes the chart of `spec` against the environment's load table,
+/// after validating the chart registry's references.
 Result<WorkflowAnalysis> AnalyzeWorkflow(const workflow::Environment& env,
                                          const workflow::WorkflowTypeSpec& spec,
                                          const AnalysisOptions& options = {});

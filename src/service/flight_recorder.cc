@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "service/json.h"
+#include "common/json.h"
 
 namespace wfms::service {
 

@@ -47,8 +47,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/result.h"
-#include "service/json.h"
 
 namespace wfms::service {
 

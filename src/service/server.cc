@@ -107,7 +107,11 @@ Server::Server(const ServerOptions& options)
     : options_(options),
       recorder_(std::max<size_t>(1, options.flight_recorder_capacity)) {
   options_.num_workers = std::max<size_t>(2, options_.num_workers);
-  options_.admission.max_queue = options_.max_queue;
+  // The ladder is relative to the pool bound; an explicit 0 keeps it off
+  // (tests), leaving the pool bound as the only shed.
+  if (options_.admission.max_queue != 0) {
+    options_.admission.max_queue = options_.max_queue;
+  }
   BackendOptions backend_options = options_.backend;
   if (options_.snapshot_interval_seconds < 0.0) {
     backend_options.snapshot_path.clear();  // persistence disabled
@@ -459,6 +463,11 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     return;
   }
 
+  // The task takes `req` by move; the shed path below still answers with
+  // the request's id and accounts its tenant and op.
+  const std::string id = req.id;
+  const std::string tenant = req.tenant;
+  const Op op = req.op;
   auto submitted = pool_->Submit(
       [this, conn, req = std::move(req), level = decision.degrade_level,
        now, ctx, bytes_in]() -> Status {
@@ -485,13 +494,13 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     // that fills the queue between Admit and Submit still answers with an
     // explicit shed, never a block.
     Response resp;
-    resp.id = req.id;
+    resp.id = id;
     resp.disposition = Disposition::kRejectedOverloaded;
     resp.error = submitted.status().ToString();
     resp.trace_id = ctx.trace_id_hex();
     RequestTelemetry telemetry;
     telemetry.context = ctx;
-    Respond(conn, resp, req.tenant, OpName(req.op), telemetry, now, bytes_in);
+    Respond(conn, resp, tenant, OpName(op), telemetry, now, bytes_in);
   }
 }
 

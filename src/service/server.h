@@ -47,7 +47,7 @@ struct ServerOptions {
   size_t num_workers = 4;
   /// Submit-queue bound of the worker pool; also the base of the
   /// admission ladder (AdmissionOptions::max_queue is overwritten with
-  /// this value).
+  /// this value unless it is 0, which disables the ladder — tests only).
   size_t max_queue = 64;
   AdmissionOptions admission;
   BackendOptions backend;

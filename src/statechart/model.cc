@@ -1,6 +1,7 @@
 #include "statechart/model.h"
 
 #include <set>
+#include <utility>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -77,12 +78,36 @@ std::string StateChart::ToDsl() const {
   return os.str();
 }
 
+ChartRegistry::ChartRegistry(const ChartRegistry& other)
+    : charts_(other.charts_),
+      references_valid_(other.references_valid_.load()) {}
+
+ChartRegistry& ChartRegistry::operator=(const ChartRegistry& other) {
+  charts_ = other.charts_;
+  references_valid_.store(other.references_valid_.load());
+  return *this;
+}
+
+ChartRegistry::ChartRegistry(ChartRegistry&& other) noexcept
+    : charts_(std::move(other.charts_)),
+      references_valid_(other.references_valid_.load()) {
+  other.references_valid_.store(false);
+}
+
+ChartRegistry& ChartRegistry::operator=(ChartRegistry&& other) noexcept {
+  charts_ = std::move(other.charts_);
+  references_valid_.store(other.references_valid_.load());
+  other.references_valid_.store(false);
+  return *this;
+}
+
 Status ChartRegistry::AddChart(StateChart chart) {
   const std::string name = chart.name();
   if (charts_.count(name) > 0) {
     return Status::AlreadyExists("chart '" + name + "' already registered");
   }
   charts_.emplace(name, std::move(chart));
+  references_valid_.store(false);
   return Status::OK();
 }
 
@@ -137,10 +162,12 @@ Status DfsCheckCycles(const ChartRegistry& registry, const std::string& name,
 }  // namespace
 
 Status ChartRegistry::ValidateReferences() const {
+  if (references_valid_.load()) return Status::OK();
   std::map<std::string, VisitState> visit;
   for (const auto& [name, chart] : charts_) {
     WFMS_RETURN_NOT_OK(DfsCheckCycles(*this, name, &visit));
   }
+  references_valid_.store(true);
   return Status::OK();
 }
 

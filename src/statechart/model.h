@@ -10,6 +10,7 @@
 #ifndef WFMS_STATECHART_MODEL_H_
 #define WFMS_STATECHART_MODEL_H_
 
+#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
@@ -100,6 +101,12 @@ class StateChart {
 /// name within a registry.
 class ChartRegistry {
  public:
+  ChartRegistry() = default;
+  ChartRegistry(const ChartRegistry& other);
+  ChartRegistry& operator=(const ChartRegistry& other);
+  ChartRegistry(ChartRegistry&& other) noexcept;
+  ChartRegistry& operator=(ChartRegistry&& other) noexcept;
+
   Status AddChart(StateChart chart);
   Result<const StateChart*> GetChart(const std::string& name) const;
   bool Contains(const std::string& name) const;
@@ -107,7 +114,9 @@ class ChartRegistry {
   size_t size() const { return charts_.size(); }
 
   /// Checks that every referenced subchart exists and that the nesting
-  /// relation is acyclic.
+  /// relation is acyclic. A registry changes only through AddChart, so a
+  /// passing check is remembered until the next AddChart: repeated calls
+  /// on an unchanged registry (one per public chart mapping) cost O(1).
   Status ValidateReferences() const;
 
   /// Serializes all charts to DSL text.
@@ -115,6 +124,8 @@ class ChartRegistry {
 
  private:
   std::map<std::string, StateChart> charts_;
+  /// Set by a passing ValidateReferences(), cleared by AddChart.
+  mutable std::atomic<bool> references_valid_{false};
 };
 
 }  // namespace wfms::statechart

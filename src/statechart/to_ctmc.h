@@ -7,15 +7,23 @@
 // subcharts (a conservative lower bound of the true residence, as the
 // paper notes), where each subchart's turnaround is the first-passage time
 // of its own recursively mapped CTMC.
+//
+// ChartMapper maps every chart of a registry at most once: a model build
+// (perf::PerformanceModel::Create) shares one mapper between the
+// composite-state recursion and the workflow analysis, so a subchart that
+// many composites embed is mapped and solved once.
 #ifndef WFMS_STATECHART_TO_CTMC_H_
 #define WFMS_STATECHART_TO_CTMC_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "linalg/vector.h"
 #include "markov/absorbing_ctmc.h"
+#include "markov/first_passage_moments.h"
 #include "statechart/model.h"
 
 namespace wfms::statechart {
@@ -42,7 +50,8 @@ struct MappedWorkflow {
   std::vector<MappedState> states;
   /// Mean turnaround time of this chart (first-passage time to s_A).
   double turnaround_time = 0.0;
-  /// Turnaround times of all (transitively) embedded subcharts.
+  /// Turnaround times of all (transitively) embedded subcharts. Filled by
+  /// MapChartToCtmc; empty in a ChartMapper's memo entries.
   std::map<std::string, double> subchart_turnarounds;
   /// Hierarchical phase-type decomposition only: chart-state index that
   /// each chain state originates from (chain states outnumber chart states
@@ -71,7 +80,45 @@ struct MappingOptions {
   int max_phase_stages = 8;
 };
 
-/// Maps `chart_name` (and, recursively, its subcharts) from the registry.
+/// One chart of a ChartMapper's memo: mapped and solved once, plus the
+/// per-chart results the workflow analysis (perf/workflow_analysis.h)
+/// derives from its chain, filled in there on first use.
+struct MappedChart {
+  MappedWorkflow workflow;
+  /// Turnaround moments from the initial state; mean equals
+  /// workflow.turnaround_time.
+  markov::TurnaroundMoments moments;
+  /// Expected entries per chain state (markov::ExpectedStateVisits).
+  std::optional<linalg::Vector> visits;
+  /// Expected service requests per server type of one execution,
+  /// subworkflows included.
+  std::optional<linalg::Vector> requests;
+};
+
+/// Maps the charts of one registry, each at most once.
+class ChartMapper {
+ public:
+  /// `registry` must already have passed ValidateReferences() (the mapper
+  /// does not re-check it) and must outlive the mapper unchanged.
+  ChartMapper(const ChartRegistry& registry, const MappingOptions& options);
+
+  /// The memo entry of `chart_name`, mapped together with its subcharts on
+  /// the first call. Entries stay valid for the mapper's lifetime.
+  Result<MappedChart*> Map(const std::string& chart_name);
+
+  /// Every chart mapped so far, by name.
+  const std::map<std::string, MappedChart>& charts() const { return memo_; }
+
+ private:
+  Result<MappedChart> MapChart(const StateChart& chart);
+
+  const ChartRegistry& registry_;
+  MappingOptions options_;
+  std::map<std::string, MappedChart> memo_;
+};
+
+/// Maps `chart_name` (and, recursively, its subcharts) from the registry,
+/// after validating the registry's references.
 Result<MappedWorkflow> MapChartToCtmc(const ChartRegistry& registry,
                                       const std::string& chart_name,
                                       const MappingOptions& options = {});

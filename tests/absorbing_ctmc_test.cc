@@ -14,11 +14,16 @@ namespace {
 using linalg::DenseMatrix;
 using linalg::Vector;
 
+/// The CSR form AbsorbingCtmc::Create takes.
+linalg::SparseMatrix Csr(const DenseMatrix& p) {
+  return linalg::SparseMatrix::FromDense(p);
+}
+
 /// s0 --(1.0)--> s1; s1 --(q)--> s0, --(1-q)--> A. Closed forms:
 /// visits(s0) = visits(s1) = 1/(1-q); R = (H0+H1)/(1-q).
 AbsorbingCtmc MakeLoopChain(double q, double h0, double h1) {
   DenseMatrix p{{0, 1, 0}, {q, 0, 1 - q}, {0, 0, 0}};
-  auto chain = AbsorbingCtmc::Create(std::move(p),
+  auto chain = AbsorbingCtmc::Create(Csr(p),
                                      {h0, h1, kInfiniteResidence},
                                      {"s0", "s1", "A"}, 0, 2);
   EXPECT_TRUE(chain.ok()) << chain.status();
@@ -28,26 +33,26 @@ AbsorbingCtmc MakeLoopChain(double q, double h0, double h1) {
 TEST(AbsorbingCtmcTest, CreateValidations) {
   // Self loop on a transient state.
   DenseMatrix self{{0.5, 0.5}, {0, 0}};
-  EXPECT_FALSE(AbsorbingCtmc::Create(self, {1.0, kInfiniteResidence},
+  EXPECT_FALSE(AbsorbingCtmc::Create(Csr(self), {1.0, kInfiniteResidence},
                                      {"a", "A"}, 0, 1)
                    .ok());
   // Row not summing to one.
   DenseMatrix bad_sum{{0, 0.5}, {0, 0}};
-  EXPECT_FALSE(AbsorbingCtmc::Create(bad_sum, {1.0, kInfiniteResidence},
+  EXPECT_FALSE(AbsorbingCtmc::Create(Csr(bad_sum), {1.0, kInfiniteResidence},
                                      {"a", "A"}, 0, 1)
                    .ok());
   // Non-positive residence time on a transient state.
   DenseMatrix ok_p{{0, 1}, {0, 0}};
-  EXPECT_FALSE(AbsorbingCtmc::Create(ok_p, {0.0, kInfiniteResidence},
+  EXPECT_FALSE(AbsorbingCtmc::Create(Csr(ok_p), {0.0, kInfiniteResidence},
                                      {"a", "A"}, 0, 1)
                    .ok());
   // Initial == absorbing.
-  EXPECT_FALSE(AbsorbingCtmc::Create(ok_p, {1.0, kInfiniteResidence},
+  EXPECT_FALSE(AbsorbingCtmc::Create(Csr(ok_p), {1.0, kInfiniteResidence},
                                      {"a", "A"}, 1, 1)
                    .ok());
   // Absorbing state unreachable.
   DenseMatrix cyc{{0, 1, 0}, {1, 0, 0}, {0, 0, 0}};
-  EXPECT_FALSE(AbsorbingCtmc::Create(cyc, {1.0, 1.0, kInfiniteResidence},
+  EXPECT_FALSE(AbsorbingCtmc::Create(Csr(cyc), {1.0, 1.0, kInfiniteResidence},
                                      {"a", "b", "A"}, 0, 2)
                    .ok());
 }
@@ -57,7 +62,7 @@ TEST(AbsorbingCtmcTest, TrapStateRejected) {
   DenseMatrix p{{0, 0.5, 0.5, 0}, {0, 0, 0, 0}, {0, 0, 0, 1}, {0, 0, 0, 0}};
   p.At(1, 1) = 0.0;  // s1 has no outgoing edges at all -> invalid row
   EXPECT_FALSE(
-      AbsorbingCtmc::Create(p, {1, 1, 1, kInfiniteResidence},
+      AbsorbingCtmc::Create(Csr(p), {1, 1, 1, kInfiniteResidence},
                             {"a", "trap", "b", "A"}, 0, 3)
           .ok());
 }
@@ -77,7 +82,7 @@ TEST(AbsorbingCtmcTest, RatesAndGenerator) {
   EXPECT_DOUBLE_EQ(chain.TransitionRate(0, 1), 0.5);
   EXPECT_DOUBLE_EQ(chain.TransitionRate(1, 0), 0.25 * 0.25);
 
-  const DenseMatrix q = chain.Generator();
+  const linalg::SparseMatrix q = chain.Generator();
   for (size_t i = 0; i < chain.num_states(); ++i) {
     double row = 0.0;
     for (size_t j = 0; j < chain.num_states(); ++j) row += q.At(i, j);
@@ -88,7 +93,7 @@ TEST(AbsorbingCtmcTest, RatesAndGenerator) {
 
 TEST(AbsorbingCtmcTest, UniformizedMatrixIsStochastic) {
   const AbsorbingCtmc chain = MakeLoopChain(0.3, 1.0, 5.0);
-  const DenseMatrix u = chain.UniformizedTransitionMatrix();
+  const linalg::SparseMatrix u = chain.UniformizedTransitionMatrix();
   for (size_t i = 0; i < chain.num_states(); ++i) {
     double row = 0.0;
     for (size_t j = 0; j < chain.num_states(); ++j) {
@@ -103,8 +108,8 @@ TEST(AbsorbingCtmcTest, UniformizedMatrixIsStochastic) {
 
 TEST(FirstPassageTest, SingleActivityChain) {
   DenseMatrix p{{0, 1}, {0, 0}};
-  auto chain = AbsorbingCtmc::Create(p, {7.5, kInfiniteResidence}, {"a", "A"},
-                                     0, 1);
+  auto chain = AbsorbingCtmc::Create(Csr(p), {7.5, kInfiniteResidence},
+                                     {"a", "A"}, 0, 1);
   ASSERT_TRUE(chain.ok());
   auto r = MeanTurnaroundTime(*chain);
   ASSERT_TRUE(r.ok());
@@ -170,8 +175,8 @@ TEST(TransientTest, RewardMatchesVisitInnerProduct) {
 
 TEST(TransientTest, RewardCountsInitialEntryOnce) {
   DenseMatrix p{{0, 1}, {0, 0}};
-  auto chain = AbsorbingCtmc::Create(p, {1.0, kInfiniteResidence}, {"a", "A"},
-                                     0, 1);
+  auto chain = AbsorbingCtmc::Create(Csr(p), {1.0, kInfiniteResidence},
+                                     {"a", "A"}, 0, 1);
   ASSERT_TRUE(chain.ok());
   auto reward = ExpectedRewardUntilAbsorption(*chain, Vector{5.0, 100.0});
   ASSERT_TRUE(reward.ok());

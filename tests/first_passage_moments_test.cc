@@ -15,10 +15,15 @@ namespace {
 using linalg::DenseMatrix;
 using linalg::Vector;
 
+/// The CSR form AbsorbingCtmc::Create takes.
+linalg::SparseMatrix Csr(const DenseMatrix& p) {
+  return linalg::SparseMatrix::FromDense(p);
+}
+
 AbsorbingCtmc MakeChain(DenseMatrix p, Vector h,
                         std::vector<std::string> names) {
   auto chain =
-      AbsorbingCtmc::Create(std::move(p), std::move(h), std::move(names), 0,
+      AbsorbingCtmc::Create(Csr(p), std::move(h), std::move(names), 0,
                             names.size() - 1);
   EXPECT_TRUE(chain.ok()) << chain.status();
   return *std::move(chain);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/metrics.h"
 #include "queueing/mg1.h"
 #include "statechart/parser.h"
 #include "workflow/scenarios.h"
@@ -102,6 +103,120 @@ TEST(WorkflowAnalysisTest, CompositeStateCarriesSubworkflowLoad) {
   // Engine load of the Shipment state = 3 * (2 + 2/0.9 + 1) requests.
   EXPECT_NEAR(analysis->state_loads.At(1, shipment),
               3.0 * (2.0 + 2.0 / 0.9 + 1.0), 1e-6);
+}
+
+TEST(PerformanceModelTest, OneBuildMapsEachReachableChartOnce) {
+  // Leaf is embedded by three composite states in two charts, Mid both by
+  // Top and as the chart of a second workflow type; Unused is reachable
+  // from no workflow type. One model build maps Top, Mid and Leaf once
+  // each and Unused never, and the shared memo leaves every workflow
+  // type's analysis bit-identical to analyzing it alone.
+  Environment env = MakeTinyEnv(0.5);
+  auto charts = statechart::ParseCharts(R"(
+chart Leaf
+  state W activity=work residence=3
+  state D activity=done residence=1
+  initial W
+  final D
+  trans W -> D prob=1
+end
+chart Mid
+  compound P subcharts=Leaf,Leaf
+  state X activity=done residence=2
+  initial P
+  final X
+  trans P -> X prob=1
+end
+chart Top
+  compound M subcharts=Mid,Leaf
+  compound L subcharts=Leaf
+  state Y activity=work residence=1
+  initial M
+  final Y
+  trans M -> L prob=0.5
+  trans M -> Y prob=0.5
+  trans L -> Y prob=1
+end
+chart Unused
+  state U activity=work residence=1
+  state V activity=done residence=1
+  initial U
+  final V
+  trans U -> V prob=1
+end
+)");
+  ASSERT_TRUE(charts.ok()) << charts.status();
+  env.charts = *std::move(charts);
+  env.workflows = {{"top", "Top", 0.2}, {"mid", "Mid", 0.1}};
+  ASSERT_TRUE(env.Validate().ok());
+
+  metrics::Counter& mapped = metrics::MetricsRegistry::Global().GetCounter(
+      "wfms_statechart_charts_mapped_total");
+  const uint64_t before = mapped.value();
+  auto model = PerformanceModel::Create(env);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(mapped.value() - before, 3u);
+
+  for (size_t t = 0; t < env.workflows.size(); ++t) {
+    auto alone = AnalyzeWorkflow(env, env.workflows[t]);
+    ASSERT_TRUE(alone.ok()) << alone.status();
+    const WorkflowAnalysis& shared = model->workflows()[t];
+    EXPECT_EQ(shared.turnaround_time, alone->turnaround_time);
+    EXPECT_EQ(shared.expected_requests, alone->expected_requests);
+    EXPECT_EQ(shared.state_visits, alone->state_visits);
+  }
+}
+
+TEST(WorkflowAnalysisTest, PhaseTypeMacroStatesKeepRequests) {
+  // Erlang stages change the residence distribution, not how often a
+  // state is entered: loads sit on each chart state's first stage, so
+  // r_{x,t} must not move when an early composite expands into stages
+  // (which shifts the chain index of every later chart state; W, entered
+  // a quarter as often as P, must not take a stage's load slot).
+  Environment env = MakeTinyEnv(0.5);
+  auto charts = statechart::ParseCharts(R"(
+chart Steps
+  state A activity=work residence=2
+  state B activity=done residence=2
+  state C residence=2
+  initial A
+  final C
+  trans A -> B prob=1
+  trans B -> C prob=1
+end
+chart Top
+  compound P subcharts=Steps
+  state W activity=work residence=3
+  state D activity=done residence=1
+  initial P
+  final D
+  trans P -> W prob=0.25
+  trans P -> D prob=0.75
+  trans W -> D prob=1
+end
+)");
+  ASSERT_TRUE(charts.ok()) << charts.status();
+  env.charts = *std::move(charts);
+  env.workflows = {{"top", "Top", 0.2}};
+  ASSERT_TRUE(env.Validate().ok());
+
+  for (LoadMethod method :
+       {LoadMethod::kEmbeddedChain, LoadMethod::kMarkovReward}) {
+    AnalysisOptions flat;
+    flat.method = method;
+    AnalysisOptions phased = flat;
+    phased.mapping.phase_type_composites = true;
+    auto a = AnalyzeWorkflow(env, env.workflows[0], flat);
+    auto b = AnalyzeWorkflow(env, env.workflows[0], phased);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    ASSERT_GT(b->chain.num_states(), a->chain.num_states());
+    for (size_t x = 0; x < a->expected_requests.size(); ++x) {
+      EXPECT_NEAR(b->expected_requests[x], a->expected_requests[x], 1e-9)
+          << "server type " << x;
+    }
+    EXPECT_NEAR(b->turnaround_time, a->turnaround_time, 1e-9);
+  }
 }
 
 TEST(PerformanceModelTest, TotalRatesAreArrivalTimesRequests) {

@@ -20,6 +20,11 @@ namespace {
 using linalg::DenseMatrix;
 using linalg::Vector;
 
+/// The CSR form AbsorbingCtmc::Create takes.
+linalg::SparseMatrix Csr(const DenseMatrix& p) {
+  return linalg::SparseMatrix::FromDense(p);
+}
+
 /// Random absorbing chain: n transient states arranged so that every
 /// state has a path to absorption (each state sends positive probability
 /// either forward or straight to the absorbing state).
@@ -51,7 +56,7 @@ AbsorbingCtmc MakeRandomChain(size_t n, uint64_t seed) {
   }
   h[n] = kInfiniteResidence;
   names.push_back("A");
-  auto chain = AbsorbingCtmc::Create(std::move(p), std::move(h),
+  auto chain = AbsorbingCtmc::Create(Csr(p), std::move(h),
                                      std::move(names), 0, n);
   EXPECT_TRUE(chain.ok()) << chain.status();
   return *std::move(chain);

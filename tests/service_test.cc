@@ -4,6 +4,7 @@
 // the real client (including pipelining and graceful drain).
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,12 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "service/admission.h"
 #include "service/backend.h"
 #include "service/client.h"
 #include "service/flight_recorder.h"
-#include "service/json.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "workflow/scenarios.h"
@@ -444,6 +445,50 @@ TEST_F(ServerLoopbackTest, TenantQuotaShedsOverTheWire) {
     if (doc->GetString("status", "") == "rejected-overloaded") ++shed;
   }
   EXPECT_GE(shed, 3);  // burst 2, rate 1/s: most of a tight loop is shed
+  server.RequestStop();
+  EXPECT_TRUE(server.Wait().ok());
+}
+
+TEST_F(ServerLoopbackTest, PoolShedEchoesTheRequestId) {
+  // With the admission ladder off, the worker pool's queue bound is the
+  // only backstop: pipelined cold assessments overflow a one-slot queue
+  // behind a single worker, and each request the pool rejects must still
+  // be answered under its own id.
+  ServerOptions options = DefaultOptions();
+  options.max_queue = 1;
+  options.admission.max_queue = 0;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server.port());
+
+  constexpr int kRequests = 12;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client
+                    .Send(R"({"id":"q)" + std::to_string(i) +
+                          R"(","op":"assess","scenario":"ep","config":[)" +
+                          std::to_string(1 + i % 4) + "," +
+                          std::to_string(1 + i / 4) +
+                          R"(,2],"max_wait":0.05,"min_avail":0.99})")
+                    .ok());
+  }
+  std::set<std::string> ids;
+  int pool_sheds = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    auto line = client.ReadResponse();
+    ASSERT_TRUE(line.ok()) << line.status().ToString();
+    auto doc = Json::Parse(*line);
+    ASSERT_TRUE(doc.ok());
+    const std::string id = doc->GetString("id", "");
+    EXPECT_EQ(id.rfind('q', 0), 0u) << *line;
+    ids.insert(id);
+    if (doc->GetString("error", "").find("ThreadPool queue full") !=
+        std::string::npos) {
+      EXPECT_EQ(doc->GetString("status", ""), "rejected-overloaded");
+      ++pool_sheds;
+    }
+  }
+  EXPECT_EQ(ids.size(), static_cast<size_t>(kRequests));
+  EXPECT_GE(pool_sheds, 1);
   server.RequestStop();
   EXPECT_TRUE(server.Wait().ok());
 }

@@ -251,6 +251,25 @@ TEST(ChartRegistryTest, DetectsNestingCycle) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ChartRegistryTest, AddChartAfterPassingCheckIsCheckedAgain) {
+  // A passing check is remembered only until the registry changes.
+  ChartRegistry registry;
+  ASSERT_TRUE(registry.AddChart(MakeTinyChart()).ok());
+  ASSERT_TRUE(registry.ValidateReferences().ok());
+  auto parent = ChartBuilder("Parent")
+                    .AddCompositeState("C", {"Missing"})
+                    .AddSimpleState("B", 1.0)
+                    .SetInitial("C")
+                    .SetFinal("B")
+                    .AddTransition("C", "B", 1.0)
+                    .Build();
+  ASSERT_TRUE(parent.ok());
+  ASSERT_TRUE(registry.AddChart(*std::move(parent)).ok());
+  EXPECT_EQ(registry.ValidateReferences().code(), StatusCode::kNotFound);
+  const ChartRegistry copy = registry;
+  EXPECT_EQ(copy.ValidateReferences().code(), StatusCode::kNotFound);
+}
+
 TEST(ChartRegistryTest, SelfNestingCycleDetected) {
   ChartRegistry registry;
   auto a = ChartBuilder("A")

@@ -14,10 +14,15 @@ namespace {
 using linalg::DenseMatrix;
 using linalg::Vector;
 
+/// The CSR form AbsorbingCtmc::Create takes.
+linalg::SparseMatrix Csr(const DenseMatrix& p) {
+  return linalg::SparseMatrix::FromDense(p);
+}
+
 AbsorbingCtmc MakeSingleState(double h) {
   DenseMatrix p{{0, 1}, {0, 0}};
-  auto chain = AbsorbingCtmc::Create(p, {h, kInfiniteResidence}, {"w", "A"},
-                                     0, 1);
+  auto chain = AbsorbingCtmc::Create(Csr(p), {h, kInfiniteResidence},
+                                     {"w", "A"}, 0, 1);
   EXPECT_TRUE(chain.ok());
   return *std::move(chain);
 }
@@ -25,7 +30,7 @@ AbsorbingCtmc MakeSingleState(double h) {
 AbsorbingCtmc MakeTwoStage(double h0, double h1) {
   DenseMatrix p{{0, 1, 0}, {0, 0, 1}, {0, 0, 0}};
   auto chain = AbsorbingCtmc::Create(
-      p, {h0, h1, kInfiniteResidence}, {"a", "b", "A"}, 0, 2);
+      Csr(p), {h0, h1, kInfiniteResidence}, {"a", "b", "A"}, 0, 2);
   EXPECT_TRUE(chain.ok());
   return *std::move(chain);
 }

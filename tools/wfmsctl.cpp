@@ -26,10 +26,11 @@
 
 #include "adapt/autotune.h"
 #include "avail/availability_model.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "common/trace.h"
 #include "common/time_units.h"
+#include "common/trace.h"
 #include "configtool/checkpoint.h"
 #include "configtool/tool.h"
 #include "corpus/sweep.h"
@@ -37,7 +38,6 @@
 #include "markov/transient_distribution.h"
 #include "perf/performance_model.h"
 #include "service/client.h"
-#include "service/json.h"
 #include "sim/fault_schedule.h"
 #include "sim/load_schedule.h"
 #include "sim/simulator.h"
@@ -919,16 +919,16 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
     return 2;
   }
 
-  service::Json request = service::Json::Object();
-  request.Set("id", service::Json::Str("wfmsctl"));
-  request.Set("op", service::Json::Str(command));
+  Json request = Json::Object();
+  request.Set("id", Json::Str("wfmsctl"));
+  request.Set("op", Json::Str(command));
   if (flags.Has("tenant")) {
-    request.Set("tenant", service::Json::Str(flags.Get("tenant", "")));
+    request.Set("tenant", Json::Str(flags.Get("tenant", "")));
   }
   if (command != "ping") {
     const std::string scenario = flags.Get("scenario", "ep");
     if (scenario == "ep" || scenario == "benchmark") {
-      request.Set("scenario", service::Json::Str(scenario));
+      request.Set("scenario", Json::Str(scenario));
     } else {
       std::ifstream file(scenario);
       if (!file) {
@@ -937,14 +937,14 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
       }
       std::stringstream buffer;
       buffer << file.rdbuf();
-      request.Set("scenario", service::Json::Str(buffer.str()));
+      request.Set("scenario", Json::Str(buffer.str()));
     }
     if (flags.Has("config")) {
       const std::string text = flags.Get("config", "");
       if (text.find('/') != std::string::npos) {
         // Per-site placement: shipped as 'site_config' (type-major); the
         // daemon validates the shape against its scenario's topology.
-        service::Json site_config = service::Json::Array();
+        Json site_config = Json::Array();
         size_t sites_per_type = 0;
         for (const std::string& part : SplitString(text, ',')) {
           const std::vector<std::string> per_site = SplitString(part, '/');
@@ -960,63 +960,63 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
               return FailWith(Status::InvalidArgument(
                   "bad --config entry '" + entry + "'"));
             }
-            site_config.Append(service::Json::Number(value));
+            site_config.Append(Json::Number(value));
           }
         }
         request.Set("site_config", site_config);
       } else {
-        service::Json config = service::Json::Array();
+        Json config = Json::Array();
         for (const std::string& part : SplitString(text, ',')) {
           int value = 0;
           if (!ParseInt(part, &value)) {
             return FailWith(Status::InvalidArgument("bad --config entry '" +
                                                     part + "'"));
           }
-          config.Append(service::Json::Number(value));
+          config.Append(Json::Number(value));
         }
         request.Set("config", config);
       }
     }
     request.Set("max_wait",
-                service::Json::Number(flags.GetDouble("max-wait", 0.05)));
+                Json::Number(flags.GetDouble("max-wait", 0.05)));
     request.Set("min_avail",
-                service::Json::Number(flags.GetDouble("min-avail", 0.99999)));
+                Json::Number(flags.GetDouble("min-avail", 0.99999)));
     const int survive_sites =
         static_cast<int>(flags.GetDouble("survive-sites", 0));
     if (survive_sites > 0) {
-      request.Set("survive_sites", service::Json::Number(survive_sites));
+      request.Set("survive_sites", Json::Number(survive_sites));
     }
     if (flags.Has("survive-partitions")) {
-      request.Set("survive_partitions", service::Json::Bool(true));
+      request.Set("survive_partitions", Json::Bool(true));
     }
     const double degraded_max_wait =
         flags.GetDouble("degraded-max-wait", 0.0);
     if (degraded_max_wait > 0.0) {
       request.Set("degraded_max_wait",
-                  service::Json::Number(degraded_max_wait));
+                  Json::Number(degraded_max_wait));
     }
     const double degraded_min_avail =
         flags.GetDouble("degraded-min-avail", -1.0);
     if (degraded_min_avail >= 0.0) {
       request.Set("degraded_min_avail",
-                  service::Json::Number(degraded_min_avail));
+                  Json::Number(degraded_min_avail));
     }
     request.Set("method",
-                service::Json::Str(flags.Get("method", "greedy")));
+                Json::Str(flags.Get("method", "greedy")));
     request.Set("max_replicas",
-                service::Json::Number(flags.GetDouble("max-replicas", 8)));
+                Json::Number(flags.GetDouble("max-replicas", 8)));
     request.Set("iterations",
-                service::Json::Number(flags.GetDouble("iterations", 2000)));
+                Json::Number(flags.GetDouble("iterations", 2000)));
     const double deadline = flags.GetDouble("deadline", 0.0);
     if (deadline > 0.0) {
-      request.Set("deadline_seconds", service::Json::Number(deadline));
+      request.Set("deadline_seconds", Json::Number(deadline));
     }
     if (command == "autotune") {
       request.Set("duration",
-                  service::Json::Number(flags.GetDouble("duration", 4000)));
+                  Json::Number(flags.GetDouble("duration", 4000)));
       request.Set("epoch",
-                  service::Json::Number(flags.GetDouble("epoch", 1000)));
-      request.Set("max_turnaround", service::Json::Number(
+                  Json::Number(flags.GetDouble("epoch", 1000)));
+      request.Set("max_turnaround", Json::Number(
                                         flags.GetDouble("max-turnaround", 0)));
     }
   }
@@ -1030,12 +1030,12 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
   trace::TraceSpan root_span(std::string("wfmsctl/") + command, "client",
                              minted);
   {
-    service::Json trace_field = service::Json::Object();
-    trace_field.Set("trace_id", service::Json::Str(minted.trace_id_hex()));
+    Json trace_field = Json::Object();
+    trace_field.Set("trace_id", Json::Str(minted.trace_id_hex()));
     const trace::TraceContext ctx = root_span.context();
     if (ctx.span_id != 0) {
       trace_field.Set("parent_span_id",
-                      service::Json::Str(ctx.span_id_hex()));
+                      Json::Str(ctx.span_id_hex()));
     }
     request.Set("trace", trace_field);
   }
@@ -1052,7 +1052,7 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
   auto response_line = client.Call(request.Dump(), command != "autotune");
   if (!response_line.ok()) return FailWith(response_line.status());
 
-  auto response = service::Json::Parse(*response_line);
+  auto response = Json::Parse(*response_line);
   if (!response.ok()) {
     return FailWith(response.status().WithContext("parsing daemon response"));
   }
@@ -1080,13 +1080,13 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
     std::fprintf(stderr, "wfmsctl: trace %s\n",
                  response->GetString("trace_id", "(none)").c_str());
   }
-  const service::Json* result = response->Find("result");
+  const Json* result = response->Find("result");
   std::printf("%s\n", result != nullptr ? result->Dump().c_str() : "null");
   if (result != nullptr) {
-    if (const service::Json* goal = result->Find("satisfies")) {
+    if (const Json* goal = result->Find("satisfies")) {
       return goal->bool_value() ? 0 : 3;
     }
-    if (const service::Json* goal = result->Find("satisfied")) {
+    if (const Json* goal = result->Find("satisfied")) {
       return goal->bool_value() ? 0 : 3;
     }
   }
