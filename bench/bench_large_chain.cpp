@@ -8,18 +8,22 @@
 // is recorded, so the committed trajectory pins both speed and memory.
 //
 // Usage: bench_large_chain [--benchmark_format=json] [--max_states=N]
-//                          [--unlumped_max_states=N]
+//                          [--unlumped_max_states=N] [--repetitions=N]
 // JSON mode emits a machine-readable array on stdout (one object per
 // measurement) for regression tracking; the CI perf-smoke job runs the
-// sweep capped at 10^4 states and compares solve times against the
-// committed BENCH_large_chain.json.
+// sweep capped at 10^4 states and compares build and solve times against
+// the committed BENCH_large_chain.json. --repetitions=N (default 1) runs
+// every row N times and reports the median build and solve times, which
+// is how the committed trajectory is pinned.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "avail/availability_model.h"
@@ -140,7 +144,16 @@ wfms::Result<Measurement> RunOne(int dims, wfms::markov::LumpingMode lumping) {
   return m;
 }
 
-void EmitJson(const std::vector<Measurement>& measurements) {
+/// Median of `samples` (mean of the middle two for an even count).
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid]
+                                 : 0.5 * (samples[mid - 1] + samples[mid]);
+}
+
+void EmitJson(const std::vector<Measurement>& measurements,
+              int repetitions) {
   std::printf("[\n");
   for (size_t i = 0; i < measurements.size(); ++i) {
     const Measurement& m = measurements[i];
@@ -150,11 +163,11 @@ void EmitJson(const std::vector<Measurement>& measurements) {
         "\"method\": \"%s\", \"iterations\": %d, "
         "\"lumping_applied\": %s, \"lumped_states\": %zu, "
         "\"availability\": %.12f, \"product_form_delta\": %.3e, "
-        "\"peak_rss_mib\": %.1f}%s\n",
+        "\"peak_rss_mib\": %.1f, \"repetitions\": %d}%s\n",
         m.dims, m.states, m.nnz, m.lumping.c_str(), m.build_ms, m.solve_ms,
         m.method.c_str(), m.iterations, m.lumping_applied ? "true" : "false",
         m.lumped_states, m.availability, m.product_form_delta, m.peak_rss_mib,
-        i + 1 < measurements.size() ? "," : "");
+        repetitions, i + 1 < measurements.size() ? "," : "");
   }
   std::printf("]\n");
 }
@@ -181,6 +194,7 @@ int main(int argc, char** argv) {
   bool json = false;
   size_t max_states = 1000000;
   size_t unlumped_max_states = 100000;
+  int repetitions = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--benchmark_format=json") == 0) {
@@ -190,6 +204,12 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--unlumped_max_states=", 22) == 0) {
       unlumped_max_states =
           static_cast<size_t>(std::strtoull(arg + 22, nullptr, 10));
+    } else if (std::strncmp(arg, "--repetitions=", 14) == 0) {
+      repetitions = std::atoi(arg + 14);
+      if (repetitions < 1) {
+        std::fprintf(stderr, "--repetitions must be at least 1\n");
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg);
       return 2;
@@ -210,19 +230,29 @@ int main(int argc, char** argv) {
           states > unlumped_max_states) {
         continue;
       }
-      auto measured = RunOne(dims, lumping);
-      if (!measured.ok()) {
-        std::fprintf(stderr, "bench_large_chain failed at %zu states (%s): %s\n",
-                     states, wfms::markov::LumpingModeName(lumping),
-                     measured.status().ToString().c_str());
-        return 1;
+      Measurement row;
+      std::vector<double> build_ms, solve_ms;
+      for (int rep = 0; rep < repetitions; ++rep) {
+        auto measured = RunOne(dims, lumping);
+        if (!measured.ok()) {
+          std::fprintf(stderr,
+                       "bench_large_chain failed at %zu states (%s): %s\n",
+                       states, wfms::markov::LumpingModeName(lumping),
+                       measured.status().ToString().c_str());
+          return 1;
+        }
+        build_ms.push_back(measured->build_ms);
+        solve_ms.push_back(measured->solve_ms);
+        row = *std::move(measured);
       }
-      measurements.push_back(*std::move(measured));
+      row.build_ms = Median(build_ms);
+      row.solve_ms = Median(solve_ms);
+      measurements.push_back(std::move(row));
     }
   }
 
   if (json) {
-    EmitJson(measurements);
+    EmitJson(measurements, repetitions);
   } else {
     EmitTable(measurements);
   }

@@ -7,6 +7,8 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/time_units.h"
@@ -21,6 +23,47 @@ using linalg::Vector;
 using markov::MixedRadixSpace;
 using markov::StateVector;
 using workflow::Configuration;
+
+namespace {
+
+/// Runs one availability-chain assembly under the `avail/build_ctmc` span
+/// and records its wall time in wfms_avail_build_seconds.
+template <typename BuildFn>
+Result<markov::Ctmc> TimedChainBuild(BuildFn&& build) {
+  static metrics::Histogram& build_seconds =
+      metrics::MetricsRegistry::Global().GetHistogram(
+          "wfms_avail_build_seconds");
+  trace::TraceSpan span("avail/build_ctmc", "avail");
+  const auto start = std::chrono::steady_clock::now();
+  Result<markov::Ctmc> chain = build();
+  build_seconds.Observe(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+  return chain;
+}
+
+/// Seeds the lumping pass with canonical orbits of exchangeable dimensions,
+/// those with equal `signature` ids (`distinct` of them are different).
+/// With no two signatures equal the seed would give every state its own
+/// label, which is already the trivial partition, so no seed is built and
+/// the pass is skipped and counted as trivial.
+void SeedLumpingPass(const MixedRadixSpace& space,
+                     const std::vector<uint64_t>& signature, size_t distinct,
+                     markov::SteadyStateOptions* options,
+                     std::vector<uint32_t>* seed_storage) {
+  if (distinct == signature.size()) {
+    markov::CountTrivialLumpingPass();
+    options->lumping = markov::LumpingMode::kOff;
+    return;
+  }
+  auto labels = markov::ExchangeableStateLabels(space, signature);
+  if (labels.ok()) {
+    *seed_storage = *std::move(labels);
+    options->lumping_seed = seed_storage;
+  }
+}
+
+}  // namespace
 
 std::string SiteContingency::ToString(
     const workflow::SiteTopology& topology) const {
@@ -222,7 +265,9 @@ Result<AvailabilityReport> AvailabilityModel::Evaluate(
     WFMS_ASSIGN_OR_RETURN(pi, ProductFormStateProbabilities(config, space));
   } else {
     ctmc_solves.Increment();
-    WFMS_ASSIGN_OR_RETURN(markov::Ctmc chain, BuildCtmc(config, space));
+    WFMS_ASSIGN_OR_RETURN(
+        markov::Ctmc chain,
+        TimedChainBuild([&] { return BuildCtmc(config, space); }));
     markov::SteadyStateOptions solver_options =
         solver_override != nullptr ? *solver_override : options_.solver;
     solver_options.initial_guess = steady_state_guess;
@@ -231,8 +276,8 @@ Result<AvailabilityReport> AvailabilityModel::Evaluate(
     // coincide bit-for-bit have permutation-invariant dynamics, so states
     // differing only by such a permutation are lumping candidates.
     std::vector<uint32_t> seed_storage;
-    if (solver_options.lumping != markov::LumpingMode::kOff &&
-        solver_options.lumping_seed == nullptr && k > 1) {
+    if (solver_options.lumping_seed == nullptr && k > 1 &&
+        markov::LumpingPassRuns(solver_options, space.size())) {
       std::map<std::tuple<uint64_t, uint64_t, int>, uint64_t> sig_ids;
       std::vector<uint64_t> signature(k);
       for (size_t x = 0; x < k; ++x) {
@@ -244,11 +289,8 @@ Result<AvailabilityReport> AvailabilityModel::Evaluate(
             sig_ids.size());
         signature[x] = it->second;
       }
-      auto labels = markov::ExchangeableStateLabels(space, signature);
-      if (labels.ok()) {
-        seed_storage = *std::move(labels);
-        solver_options.lumping_seed = &seed_storage;
-      }
+      SeedLumpingPass(space, signature, sig_ids.size(), &solver_options,
+                      &seed_storage);
     }
     auto solved = markov::SolveSteadyState(chain, solver_options);
     if (!solved.ok()) {
@@ -425,22 +467,25 @@ Result<AvailabilityReport> AvailabilityModel::EvaluateSites(
       }
     }
   } else {
-    markov::CtmcBuilder builder(space.size());
-    builder.Reserve(space.size() * 2 * num_dims);
-    for (size_t i = 0; i < space.size(); ++i) {
-      for (size_t d = 0; d < num_dims; ++d) {
-        const int value = space.Component(i, d);
-        if (value > 0) {
-          WFMS_RETURN_NOT_OK(builder.AddTransition(i, space.Neighbor(i, d, -1),
-                                                   death_rate(d, value)));
-        }
-        if (value < space.bound(d)) {
-          WFMS_RETURN_NOT_OK(builder.AddTransition(i, space.Neighbor(i, d, +1),
-                                                   birth_rate(d, value)));
+    auto build = [&]() -> Result<markov::Ctmc> {
+      markov::CtmcBuilder builder(space.size());
+      builder.Reserve(space.size() * 2 * num_dims);
+      for (size_t i = 0; i < space.size(); ++i) {
+        for (size_t d = 0; d < num_dims; ++d) {
+          const int value = space.Component(i, d);
+          if (value > 0) {
+            WFMS_RETURN_NOT_OK(builder.AddTransition(
+                i, space.Neighbor(i, d, -1), death_rate(d, value)));
+          }
+          if (value < space.bound(d)) {
+            WFMS_RETURN_NOT_OK(builder.AddTransition(
+                i, space.Neighbor(i, d, +1), birth_rate(d, value)));
+          }
         }
       }
-    }
-    WFMS_ASSIGN_OR_RETURN(markov::Ctmc chain, builder.Build());
+      return builder.Build();
+    };
+    WFMS_ASSIGN_OR_RETURN(markov::Ctmc chain, TimedChainBuild(build));
     markov::SteadyStateOptions solver_options =
         solver_override != nullptr ? *solver_override : options_.solver;
     solver_options.initial_guess = nullptr;
@@ -450,8 +495,8 @@ Result<AvailabilityReport> AvailabilityModel::EvaluateSites(
     // product of independent per-dim chains, so permuting same-signature
     // dims is an automorphism; the refinement pass verifies regardless.
     std::vector<uint32_t> seed_storage;
-    if (solver_options.lumping != markov::LumpingMode::kOff &&
-        solver_options.lumping_seed == nullptr && num_dims > 1) {
+    if (solver_options.lumping_seed == nullptr && num_dims > 1 &&
+        markov::LumpingPassRuns(solver_options, space.size())) {
       std::map<std::tuple<int, uint64_t, uint64_t, int>, uint64_t> sig_ids;
       std::vector<uint64_t> signature(num_dims);
       for (size_t d = 0; d < num_dims; ++d) {
@@ -474,11 +519,8 @@ Result<AvailabilityReport> AvailabilityModel::EvaluateSites(
             sig_ids.size());
         signature[d] = it->second;
       }
-      auto labels = markov::ExchangeableStateLabels(space, signature);
-      if (labels.ok()) {
-        seed_storage = *std::move(labels);
-        solver_options.lumping_seed = &seed_storage;
-      }
+      SeedLumpingPass(space, signature, sig_ids.size(), &solver_options,
+                      &seed_storage);
     }
     auto solved = markov::SolveSteadyState(chain, solver_options);
     if (!solved.ok()) {

@@ -33,20 +33,13 @@ class SparseMatrixBuilder {
   /// vector in doubling steps.
   void Reserve(size_t nnz_hint);
 
-  /// Incremental coalescing watermark: once the triplet store reaches this
-  /// many entries, duplicates are merged in place (sort + sum) and the
-  /// watermark moves to twice the compacted size, so repeated compactions
-  /// stay amortized O(log) over an assembly. Duplicate-heavy assembly
-  /// (e.g. quotient construction, where many source arcs fold onto one
-  /// block pair) then peaks at ~2x the *distinct*-entry count instead of
-  /// the raw insertion count. Compaction regroups the partial sums of
-  /// duplicates, so the default watermark is set far above every
-  /// small-chain assembly in the codebase, keeping those builds
-  /// bit-identical; million-state assemblies opt in via this setter.
-  void SetCoalesceWatermark(size_t watermark);
-
-  /// Sorts, merges duplicates (dropping exact zeros), and produces the CSR
-  /// matrix. The builder is left empty but keeps its capacity.
+  /// Produces the CSR matrix in O(nnz + rows) with counting passes, no
+  /// comparison sort over the triplets: entries are bucketed by row in
+  /// insertion order, each row is ordered by column stably, duplicates are
+  /// summed in insertion order and exact-zero sums are dropped. A builder
+  /// without duplicate (row, col) pairs therefore yields entries that are
+  /// bit-identical to its insertions. The builder is left empty but keeps
+  /// its capacity.
   SparseMatrix Build() &;
   /// Rvalue overload: consumes the builder, releasing the triplet storage
   /// with it — the single-use assembly path.
@@ -59,15 +52,9 @@ class SparseMatrixBuilder {
     double value;
   };
 
-  /// Sorts the triplets by (row, col) and sums duplicates in place.
-  void Compact();
-
   size_t rows_;
   size_t cols_;
   std::vector<Triplet> triplets_;
-  /// Default: 4M triplets (~96 MB) — above every small-chain assembly, so
-  /// compaction never reorders their duplicate sums.
-  size_t coalesce_watermark_ = size_t{1} << 22;
 };
 
 class SparseMatrix {
@@ -90,6 +77,8 @@ class SparseMatrix {
   /// scratch vector keeps the inner loop allocation-free.
   void MultiplyTransposed(const Vector& x, Vector* out) const;
 
+  /// Counting transpose written straight into CSR: O(nnz + rows + cols),
+  /// rows of the result come out sorted by column.
   SparseMatrix Transposed() const;
   DenseMatrix ToDense() const;
 

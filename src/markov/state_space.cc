@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -114,8 +114,17 @@ Result<std::vector<uint32_t>> ExchangeableStateLabels(
   }
 
   std::vector<uint32_t> labels(space.size());
-  std::unordered_map<size_t, uint32_t> dense;
-  dense.reserve(space.size() / 2 + 1);
+  // No two dimensions exchangeable: every state is its own canonical
+  // state, and labels in ascending state order are the identity.
+  if (classes.size() == k) {
+    std::iota(labels.begin(), labels.end(), uint32_t{0});
+    return labels;
+  }
+  // Canonical codes are state indices, so a table over the state space
+  // maps each one to its dense label.
+  constexpr uint32_t kUnlabelled = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> label_of_canonical(space.size(), kUnlabelled);
+  uint32_t next_label = 0;
   StateVector state(k);
   std::vector<int> sorted_class;
   for (size_t i = 0; i < space.size(); ++i) {
@@ -127,10 +136,9 @@ Result<std::vector<uint32_t>> ExchangeableStateLabels(
       std::sort(sorted_class.begin(), sorted_class.end());
       for (size_t c = 0; c < cls.size(); ++c) state[cls[c]] = sorted_class[c];
     }
-    const size_t canonical = space.EncodeUnchecked(state);
-    const auto [it, inserted] =
-        dense.emplace(canonical, static_cast<uint32_t>(dense.size()));
-    labels[i] = it->second;
+    uint32_t& label = label_of_canonical[space.EncodeUnchecked(state)];
+    if (label == kUnlabelled) label = next_label++;
+    labels[i] = label;
   }
   return labels;
 }

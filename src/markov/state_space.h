@@ -67,7 +67,8 @@ class MixedRadixSpace {
 /// failure/repair rates and replica counts produce identical dynamics under
 /// any permutation of those types, so their orbits lump; the partition
 /// refinement downstream verifies rather than assumes this. Labels are
-/// dense, assigned in ascending state order. Dimensions with equal
+/// dense, assigned in ascending state order, so with no two signatures
+/// equal the labelling is the identity. Dimensions with equal
 /// signatures must have equal bounds (otherwise sorting components across
 /// them is meaningless) — that is an error.
 Result<std::vector<uint32_t>> ExchangeableStateLabels(

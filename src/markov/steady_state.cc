@@ -802,6 +802,24 @@ const char* LumpingModeName(LumpingMode mode) {
   return "unknown";
 }
 
+bool LumpingPassRuns(const SteadyStateOptions& options, size_t num_states) {
+  const bool enabled =
+      options.lumping == LumpingMode::kOn ||
+      (options.lumping == LumpingMode::kAuto &&
+       num_states >= options.lumping_min_states);
+  return enabled && num_states > 1;
+}
+
+void CountTrivialLumpingPass() {
+  auto& registry = metrics::MetricsRegistry::Global();
+  static metrics::Counter& attempts =
+      registry.GetCounter("wfms_markov_lumping_attempts_total");
+  static metrics::Counter& trivial =
+      registry.GetCounter("wfms_markov_lumping_trivial_total");
+  attempts.Increment();
+  trivial.Increment();
+}
+
 Result<SteadyStateResult> SolveSteadyState(const Ctmc& chain,
                                            const SteadyStateOptions& options) {
   trace::TraceSpan span("markov/steady_state", "markov",
@@ -824,10 +842,7 @@ Result<SteadyStateResult> SolveSteadyState(const Ctmc& chain,
   }
 
   Result<SteadyStateResult> result = [&]() -> Result<SteadyStateResult> {
-    const bool try_lumping =
-        opts.lumping == LumpingMode::kOn ||
-        (opts.lumping == LumpingMode::kAuto && n >= opts.lumping_min_states);
-    if (try_lumping && n > 1) {
+    if (LumpingPassRuns(opts, n)) {
       if (auto lumped = TrySolveLumped(chain, opts)) {
         return *std::move(lumped);
       }

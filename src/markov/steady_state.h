@@ -143,6 +143,18 @@ struct SteadyStateResult {
 Result<SteadyStateResult> SolveSteadyState(
     const Ctmc& chain, const SteadyStateOptions& options = {});
 
+/// True when SolveSteadyState runs a lumping pass on a chain of
+/// `num_states` states under `options`: kOn, or kAuto at or above
+/// lumping_min_states (never on a single state).
+bool LumpingPassRuns(const SteadyStateOptions& options, size_t num_states);
+
+/// Counts a lumping pass its caller skips because the seed it would pass
+/// gives every state a label of its own. Refinement only splits blocks,
+/// so that seed is already the trivial partition: the pass counts as one
+/// attempt ending trivial in wfms_markov_lumping_{attempts,trivial}_total
+/// without refining or transposing anything.
+void CountTrivialLumpingPass();
+
 }  // namespace wfms::markov
 
 #endif  // WFMS_MARKOV_STEADY_STATE_H_

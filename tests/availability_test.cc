@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "common/metrics.h"
 #include "common/time_units.h"
+#include "common/trace.h"
 #include "workflow/scenarios.h"
 
 namespace wfms::avail {
@@ -187,6 +195,133 @@ TEST(AvailabilityTest, PerTypeDistributionValidation) {
   auto dist = model.PerTypeDistribution(2, 2);
   ASSERT_TRUE(dist.ok());
   EXPECT_EQ(dist->size(), 3u);
+}
+
+// --- Metamorphic oracles --------------------------------------------------
+
+/// The EP server types reordered: type i of the result is type perm[i] of
+/// the EP registry.
+workflow::ServerTypeRegistry PermutedEpServers(
+    const std::array<size_t, 3>& perm) {
+  auto env = workflow::EpEnvironment();
+  EXPECT_TRUE(env.ok());
+  workflow::ServerTypeRegistry servers;
+  for (size_t x : perm) {
+    EXPECT_TRUE(servers.AddServerType(env->servers.type(x)).ok());
+  }
+  return servers;
+}
+
+/// `copies` server types that all share the EP application server's
+/// failure and repair rates, so they are exchangeable.
+workflow::ServerTypeRegistry IdenticalServers(size_t copies) {
+  auto env = workflow::EpEnvironment();
+  EXPECT_TRUE(env.ok());
+  workflow::ServerTypeRegistry servers;
+  for (size_t x = 0; x < copies; ++x) {
+    workflow::ServerType type = env->servers.type(2);
+    type.name = "app" + std::to_string(x);
+    EXPECT_TRUE(servers.AddServerType(type).ok());
+  }
+  return servers;
+}
+
+TEST(AvailabilityMetamorphicTest, PermutingServerTypesPermutesTheReport) {
+  const AvailabilityModel base = MakeEpModel();
+  for (const std::vector<int>& replicas :
+       {std::vector<int>{2, 1, 3}, std::vector<int>{3, 3, 2},
+        std::vector<int>{1, 2, 2}, std::vector<int>{4, 1, 1}}) {
+    auto reference = base.Evaluate(Configuration(replicas));
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    std::array<size_t, 3> perm = {0, 1, 2};
+    do {
+      auto model = AvailabilityModel::Create(PermutedEpServers(perm));
+      ASSERT_TRUE(model.ok()) << model.status();
+      std::vector<int> permuted(3);
+      for (size_t i = 0; i < 3; ++i) permuted[i] = replicas[perm[i]];
+      auto report = model->Evaluate(Configuration(permuted));
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_NEAR(report->availability, reference->availability, 1e-15)
+          << Configuration(permuted).ToString();
+      for (size_t i = 0; i < 3; ++i) {
+        EXPECT_NEAR(report->expected_up_servers[i],
+                    reference->expected_up_servers[perm[i]], 1e-12)
+            << Configuration(permuted).ToString() << " type " << i;
+      }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+}
+
+AvailabilityOptions WithLumping(markov::LumpingMode mode) {
+  AvailabilityOptions options;
+  options.solver.lumping = mode;
+  return options;
+}
+
+TEST(AvailabilityMetamorphicTest, LumpedAgreesWithUnlumpedOnLumpableConfigs) {
+  auto off = AvailabilityModel::Create(
+      IdenticalServers(3), WithLumping(markov::LumpingMode::kOff));
+  auto on = AvailabilityModel::Create(IdenticalServers(3),
+                                      WithLumping(markov::LumpingMode::kOn));
+  ASSERT_TRUE(off.ok() && on.ok());
+  for (const Configuration& config :
+       {Configuration({3, 3, 3}), Configuration({2, 3, 3}),
+        Configuration({4, 2, 4})}) {
+    auto a = off->Evaluate(config);
+    auto b = on->Evaluate(config);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_FALSE(a->lumping_applied);
+    EXPECT_TRUE(b->lumping_applied) << config.ToString();
+    EXPECT_LT(b->lumped_states, a->state_probabilities.size());
+    EXPECT_NEAR(b->availability, a->availability, 1e-13) << config.ToString();
+    for (size_t x = 0; x < 3; ++x) {
+      EXPECT_NEAR(b->expected_up_servers[x], a->expected_up_servers[x], 1e-13);
+    }
+  }
+}
+
+TEST(AvailabilityMetamorphicTest, LumpingIsBitIdenticalOnNonLumpableConfigs) {
+  // The EP types differ pairwise, so no seed label is shared: the lumping
+  // pass is counted as trivial without running.
+  auto& registry = metrics::MetricsRegistry::Global();
+  metrics::Counter& attempts =
+      registry.GetCounter("wfms_markov_lumping_attempts_total");
+  metrics::Counter& trivial =
+      registry.GetCounter("wfms_markov_lumping_trivial_total");
+  const AvailabilityModel off =
+      MakeEpModel(WithLumping(markov::LumpingMode::kOff));
+  const AvailabilityModel on =
+      MakeEpModel(WithLumping(markov::LumpingMode::kOn));
+  for (const Configuration& config :
+       {Configuration({2, 2, 3}), Configuration({3, 3, 3}),
+        Configuration({1, 4, 2})}) {
+    auto a = off.Evaluate(config);
+    const uint64_t attempts_before = attempts.value();
+    const uint64_t trivial_before = trivial.value();
+    trace::Clear();
+    trace::SetEnabled(true);
+    auto b = on.Evaluate(config);
+    trace::SetEnabled(false);
+    const std::string events = trace::ExportJson();
+    trace::Clear();
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(attempts.value() - attempts_before, 1u);
+    EXPECT_EQ(trivial.value() - trivial_before, 1u);
+    EXPECT_NE(events.find("markov/steady_state"), std::string::npos);
+    EXPECT_EQ(events.find("markov/lumping"), std::string::npos)
+        << "the lumping pass ran for " << config.ToString();
+    EXPECT_FALSE(b->lumping_applied);
+    EXPECT_EQ(std::bit_cast<uint64_t>(b->availability),
+              std::bit_cast<uint64_t>(a->availability))
+        << config.ToString();
+    ASSERT_EQ(b->state_probabilities.size(), a->state_probabilities.size());
+    for (size_t i = 0; i < a->state_probabilities.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(b->state_probabilities[i]),
+                std::bit_cast<uint64_t>(a->state_probabilities[i]));
+    }
+  }
 }
 
 }  // namespace

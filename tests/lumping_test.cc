@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "markov/ctmc.h"
 #include "markov/lumping.h"
@@ -219,6 +224,105 @@ TEST(LumpingTest, ExchangeableStateLabelsCanonicalizeOrbits) {
   EXPECT_FALSE(bad.ok());
 }
 
+/// Reference for ExchangeableStateLabels: the canonical state of every
+/// state (components sorted within each signature class), labelled densely
+/// in ascending state order through a hash map.
+std::vector<uint32_t> ReferenceLabels(const MixedRadixSpace& space,
+                                      const std::vector<uint64_t>& signature) {
+  const size_t k = space.num_dimensions();
+  std::unordered_map<size_t, uint32_t> dense;
+  std::vector<uint32_t> labels(space.size());
+  for (size_t i = 0; i < space.size(); ++i) {
+    StateVector state(k);
+    for (size_t j = 0; j < k; ++j) state[j] = space.Component(i, j);
+    StateVector canonical = state;
+    for (size_t j = 0; j < k; ++j) {
+      std::vector<size_t> members;
+      for (size_t l = 0; l < k; ++l) {
+        if (signature[l] == signature[j]) members.push_back(l);
+      }
+      std::vector<int> values;
+      for (size_t l : members) values.push_back(state[l]);
+      std::sort(values.begin(), values.end());
+      for (size_t c = 0; c < members.size(); ++c) {
+        canonical[members[c]] = values[c];
+      }
+    }
+    const auto [it, inserted] = dense.emplace(
+        space.EncodeUnchecked(canonical), static_cast<uint32_t>(dense.size()));
+    labels[i] = it->second;
+  }
+  return labels;
+}
+
+TEST(LumpingTest, ExchangeableStateLabelsMatchMapReference) {
+  Rng rng(314);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Up to five dimensions drawn from three signature classes; every
+    // class has one bound, so the labelling is well defined.
+    const size_t k = 1 + rng.NextUint64(5);
+    std::vector<int> class_bound(3);
+    for (int& b : class_bound) b = static_cast<int>(rng.NextUint64(4));
+    std::vector<uint64_t> signature(k);
+    std::vector<int> bounds(k);
+    for (size_t j = 0; j < k; ++j) {
+      signature[j] = rng.NextUint64(3);
+      bounds[j] = class_bound[signature[j]];
+    }
+    auto space = MixedRadixSpace::Create(bounds);
+    ASSERT_TRUE(space.ok());
+    auto labels = ExchangeableStateLabels(*space, signature);
+    ASSERT_TRUE(labels.ok()) << labels.status();
+    EXPECT_EQ(*labels, ReferenceLabels(*space, signature)) << "trial " << trial;
+  }
+}
+
+TEST(LumpingTest, ExchangeableStateLabelsAreIdentityWithoutSharedSignature) {
+  auto space = MixedRadixSpace::Create({2, 3, 1, 4});
+  ASSERT_TRUE(space.ok());
+  auto labels = ExchangeableStateLabels(*space, {5, 1, 9, 2});
+  ASSERT_TRUE(labels.ok());
+  std::vector<uint32_t> identity(space->size());
+  std::iota(identity.begin(), identity.end(), uint32_t{0});
+  EXPECT_EQ(*labels, identity);
+}
+
+TEST(LumpingTest, SeedSeparatingEveryStateEndsTrivial) {
+  metrics::Counter& trivial = metrics::MetricsRegistry::Global().GetCounter(
+      "wfms_markov_lumping_trivial_total");
+  metrics::Counter& attempts = metrics::MetricsRegistry::Global().GetCounter(
+      "wfms_markov_lumping_attempts_total");
+  for (uint64_t trial = 0; trial < 10; ++trial) {
+    const LumpableChain problem = MakeLumpableChain(700 + trial);
+    const size_t n = problem.chain.num_states();
+
+    SteadyStateOptions off;
+    off.lumping = LumpingMode::kOff;
+    auto direct = SolveSteadyState(problem.chain, off);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+
+    // Distinct labels in any order (here reversed) leave nothing to merge.
+    std::vector<uint32_t> seed(n);
+    for (size_t i = 0; i < n; ++i) seed[i] = static_cast<uint32_t>(n - 1 - i);
+    SteadyStateOptions on;
+    on.lumping = LumpingMode::kOn;
+    on.lumping_seed = &seed;
+    const uint64_t trivial_before = trivial.value();
+    const uint64_t attempts_before = attempts.value();
+    auto seeded = SolveSteadyState(problem.chain, on);
+    ASSERT_TRUE(seeded.ok()) << seeded.status();
+    EXPECT_EQ(trivial.value() - trivial_before, 1u);
+    EXPECT_EQ(attempts.value() - attempts_before, 1u);
+    EXPECT_FALSE(seeded->lumping_applied);
+    ASSERT_EQ(seeded->pi.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(seeded->pi[i]),
+                std::bit_cast<uint64_t>(direct->pi[i]))
+          << "trial " << trial << " state " << i;
+    }
+  }
+}
+
 TEST(LumpingTest, AutoModeSkipsSmallChains) {
   const LumpableChain problem = MakeLumpableChain(55);
   SteadyStateOptions options;
@@ -226,6 +330,19 @@ TEST(LumpingTest, AutoModeSkipsSmallChains) {
   auto solved = SolveSteadyState(problem.chain, options);
   ASSERT_TRUE(solved.ok());
   EXPECT_FALSE(solved->lumping_applied);
+}
+
+TEST(LumpingTest, LumpingPassRunsFollowsModeAndThreshold) {
+  SteadyStateOptions options;
+  options.lumping_min_states = 100;
+  options.lumping = LumpingMode::kOff;
+  EXPECT_FALSE(LumpingPassRuns(options, 1000));
+  options.lumping = LumpingMode::kAuto;
+  EXPECT_FALSE(LumpingPassRuns(options, 99));
+  EXPECT_TRUE(LumpingPassRuns(options, 100));
+  options.lumping = LumpingMode::kOn;
+  EXPECT_TRUE(LumpingPassRuns(options, 2));
+  EXPECT_FALSE(LumpingPassRuns(options, 1));
 }
 
 TEST(LumpingTest, ModeNamesRoundTrip) {
